@@ -64,8 +64,32 @@ from repro.observability import (
     use_profiler,
 )
 from repro.observability.explain import render_index
+from repro.parallel import build_fleet_service
+from repro.parallel.settings import BACKENDS
 from repro.reporting import operational_report
 from repro.service import ServiceSettings, build_service
+
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting integers >= ``minimum``, so a bad
+    count exits 2 with a usage error instead of a traceback."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,12 +99,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=("basic", "standard", "premium"),
         default="standard",
     )
-    parser.add_argument("--dbs", type=int, default=4, help="fleet size")
+    parser.add_argument("--dbs", type=_positive, default=4, help="fleet size")
     parser.add_argument(
         "--executor",
         choices=("auto", "vector", "interp"),
         default=None,
         help="execution path (sets REPRO_EXECUTOR; default auto)",
+    )
+
+
+def _add_pool(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=_non_negative,
+        default=0,
+        help="shard workers (0 = serial in-process execution)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default="auto",
+        help="execution backend (auto = process when --workers > 1)",
     )
 
 
@@ -141,8 +180,6 @@ def _maybe_dump_audit(plane, args: argparse.Namespace) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Fleet-parallel closed-loop run (sharded workers, merged output)."""
-    from repro.parallel import build_fleet_service
-
     service = build_fleet_service(
         n_databases=args.dbs,
         workers=args.workers,
@@ -214,7 +251,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         render_critical_path,
         trace_event_json,
     )
-    from repro.parallel import build_fleet_service
 
     service = build_fleet_service(
         n_databases=args.dbs,
@@ -370,8 +406,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
             plane.process()
         store = plane.history.store
     else:
-        from repro.parallel import build_fleet_service
-
         service = build_fleet_service(
             n_databases=args.dbs,
             workers=args.workers,
@@ -521,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
     ops = sub.add_parser("ops", help="closed-loop run + operational report")
     _add_common(ops)
-    ops.add_argument("--days", type=int, default=4)
+    ops.add_argument("--days", type=_positive, default=4)
     ops.add_argument(
         "--audit-out", help="dump the run's audit stream to this JSONL file"
     )
@@ -530,19 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="fleet-parallel closed-loop run (sharded workers)"
     )
     _add_common(run)
-    run.add_argument("--days", type=int, default=4)
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers (0 = serial in-process execution)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend (auto = process when --workers > 1)",
-    )
+    run.add_argument("--days", type=_positive, default=4)
+    _add_pool(run)
     run.add_argument(
         "--max-statements",
         type=int,
@@ -551,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--batch-ticks",
-        type=int,
+        type=_positive,
         default=1,
         help="ticks dispatched per pool round-trip (pipelined dispatch: "
         "workers stay hot across the batch; output stays byte-identical)",
@@ -571,20 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(prof)
     prof.add_argument(
-        "--ticks", type=int, default=8, help="fleet ticks to profile"
+        "--ticks", type=_positive, default=8, help="fleet ticks to profile"
     )
-    prof.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers (0 = serial in-process execution)",
-    )
-    prof.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend (auto = process when --workers > 1)",
-    )
+    _add_pool(prof)
     prof.add_argument(
         "--max-statements",
         type=int,
@@ -593,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument(
         "--batch-ticks",
-        type=int,
+        type=_positive,
         default=1,
         help="ticks dispatched per pool round-trip (profile the "
         "pipelined dispatch path)",
@@ -618,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry", help="closed-loop run + fleet telemetry dashboard"
     )
     _add_common(telemetry)
-    telemetry.add_argument("--days", type=int, default=4)
+    telemetry.add_argument("--days", type=_positive, default=4)
     telemetry.add_argument(
         "--top", type=int, default=5, help="slowest tuning sessions to list"
     )
@@ -635,19 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
         "slo", help="SLO burn-rate report over a run's telemetry history"
     )
     _add_common(slo)
-    slo.add_argument("--days", type=int, default=4)
-    slo.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers (0 = serial in-process execution)",
-    )
-    slo.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend (auto = process when --workers > 1)",
-    )
+    slo.add_argument("--days", type=_positive, default=4)
+    _add_pool(slo)
     slo.add_argument(
         "--format", choices=("report", "json"), default="report"
     )
@@ -688,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="recommendation id, or 'latest' (omit for the decision index)",
     )
-    explain.add_argument("--days", type=int, default=4)
+    explain.add_argument("--days", type=_positive, default=4)
     explain.add_argument(
         "--audit", help="replay a JSONL audit dump instead of running the loop"
     )

@@ -12,17 +12,16 @@ table shows both the model's cost and the host's.
 
 Profilers form a stack: the default global profiler aggregates across
 every engine in the process (exactly what the fleet dashboard wants),
-and tests swap in a fresh one with :func:`use_profiler`.  The stack is
-**thread-local** so shard workers running on the thread backend can each
-install their own profiler without racing: every thread starts from the
-shared default profiler and pushes/pops independently.
+and tests swap in a fresh one with :func:`use_profiler`.  Shard
+workers run one at a time in their process (inline on the serial
+backend, one process per shard on the process backend), so a single
+module-level stack serves them all.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import threading
 import time
 from typing import Dict, Iterator, List, Tuple
 
@@ -115,36 +114,26 @@ class Profiler:
         self._stats.clear()
 
 
-#: The process-wide default profiler every thread's stack starts from.
+#: The process-wide default profiler at the bottom of the stack.
 _default_profiler = Profiler()
 
-
-class _ThreadStack(threading.local):
-    """Per-thread profiler stack, rooted at the shared default."""
-
-    def __init__(self) -> None:
-        self.frames: List[Profiler] = [_default_profiler]
-
-
-_stack = _ThreadStack()
+#: The profiler stack, rooted at the shared default.
+_stack: List[Profiler] = [_default_profiler]
 
 
 def active() -> Profiler:
-    """The profiler hot-path hooks currently record into (this thread)."""
-    return _stack.frames[-1]
+    """The profiler hot-path hooks currently record into."""
+    return _stack[-1]
 
 
 @contextlib.contextmanager
 def use_profiler(profiler: Profiler) -> Iterator[Profiler]:
-    """Temporarily make ``profiler`` the active one (tests, CLI runs).
-
-    Scoped to the calling thread: worker threads that never call this
-    still record into the shared default profiler."""
-    _stack.frames.append(profiler)
+    """Temporarily make ``profiler`` the active one (tests, CLI runs)."""
+    _stack.append(profiler)
     try:
         yield profiler
     finally:
-        _stack.frames.pop()
+        _stack.pop()
 
 
 @contextlib.contextmanager
@@ -159,11 +148,11 @@ def profile(name: str) -> Iterator[_ProfileHandle]:
     try:
         yield handle
     finally:
-        _stack.frames[-1].record(
+        _stack[-1].record(
             name, time.perf_counter() - start, handle.sim_ms
         )
 
 
 def count(name: str, sim_ms: float = 0.0) -> None:
     """Tick ``name`` on the active profiler without timing."""
-    _stack.frames[-1].count(name, sim_ms)
+    _stack[-1].count(name, sim_ms)

@@ -5,7 +5,7 @@ per region; stepping them serially in one thread leaves every other core
 idle.  Because each managed database owns an independent engine,
 workload, and recommendation state machine, the per-tick work is
 embarrassingly parallel.  This package shards the fleet across a worker
-pool (process-based, with thread and serial fallbacks), runs each
+pool (process-based, with an in-process serial reference), runs each
 virtual-time tick's per-database work concurrently, and merges the
 results **deterministically**: every worker buffers its journal entries,
 audit events, span operations, bus events, and metric deltas per
@@ -18,7 +18,7 @@ Entry points:
 - :class:`ShardedFleetService` — the region service facade
   (``repro run --workers N`` on the CLI);
 - :class:`ParallelSettings` — worker count + backend selection;
-- :func:`repro.service.build_fleet_service` — convenience constructor.
+- :func:`build_fleet_service` — convenience constructor.
 """
 
 from repro.parallel.delta import (

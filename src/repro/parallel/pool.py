@@ -1,19 +1,19 @@
-"""Worker pools: serial, thread, and process execution of shard ticks.
+"""Worker pools: serial and process execution of shard ticks.
 
-All three backends expose the same surface — ``tick_batch(ends,
-max_statements, classifier_state) -> Iterator[ShardResult]`` (plus the
-one-tick ``tick`` convenience wrapper and ``close()``) — and all three
-produce identical deltas for the same seed; only wall-clock behaviour
-differs.  The process backend keeps one long-lived OS process per
+Both backends expose the same surface — ``tick_batch(ends,
+max_statements, classifier_state) -> Iterator[ShardResult]`` and
+``close()`` — and both produce identical deltas for the same seed; only
+wall-clock behaviour differs.  The serial backend is the in-process
+reference; the process backend keeps one long-lived OS process per
 shard: shard state is built inside the child from the picklable payload
 at startup, and only commands / per-tick deltas cross the pipe
 afterwards.
 
 ``tick_batch`` is the pipelined protocol: the parent pushes a batch of
 K tick commands in one round-trip, workers run all K ticks back-to-back
-while staying hot, and results stream back **in completion order** —
-shard 2 may deliver its tick 3 before shard 1 delivers its tick 0.  The
-service buffers the stream and releases it to the merger in stable
+while staying hot, and on the process backend results stream back
+**in completion order** — shard 2 may deliver its tick 3 before shard 1
+delivers its tick 0.  The service buffers the stream and releases it to the merger in stable
 ``(tick_index, shard_index)`` order, so arrival order never reaches
 merged output.
 
@@ -35,8 +35,6 @@ raising.
 from __future__ import annotations
 
 import multiprocessing
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import connection as mp_connection
 from typing import Iterator, List, Optional, Sequence
 
@@ -44,14 +42,6 @@ from repro.errors import ShardCrashError
 from repro.parallel.spec import ShardPayload
 from repro.parallel.timing import TickPhaseTimer
 from repro.parallel.worker import ShardResult, ShardRunner, shard_worker_main
-
-
-def _collect_one_tick(pool, end, max_statements, classifier_state):
-    """The one-tick wrapper every backend shares: batch of 1, results
-    gathered and returned in shard order (the pre-pipelining contract)."""
-    results = list(pool.tick_batch([end], max_statements, classifier_state))
-    results.sort(key=lambda result: result.shard_index)
-    return results
 
 
 class SerialPool:
@@ -74,14 +64,6 @@ class SerialPool:
     ) -> None:
         self.timer = timer if timer is not None else TickPhaseTimer(enabled=False)
         self.runners = [ShardRunner(payload) for payload in payloads]
-
-    def tick(
-        self,
-        end: float,
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ) -> List[ShardResult]:
-        return _collect_one_tick(self, end, max_statements, classifier_state)
 
     def tick_batch(
         self,
@@ -108,75 +90,6 @@ class SerialPool:
         pass
 
 
-class ThreadPool:
-    """One thread per shard.
-
-    CPython's GIL serializes the pure-Python engine work, so this is not
-    a speedup backend — it exercises the exact pool/merge machinery of
-    the process backend without process startup cost, which is what the
-    determinism tests and the ``workers=2`` CI variant lean on.  Batched
-    ticks run back-to-back inside each shard thread and stream home
-    through a queue in completion order, exactly like the process pipe.
-    """
-
-    backend = "thread"
-
-    def __init__(
-        self,
-        payloads: List[ShardPayload],
-        timer: Optional[TickPhaseTimer] = None,
-    ) -> None:
-        self.timer = timer if timer is not None else TickPhaseTimer(enabled=False)
-        self.runners = [ShardRunner(payload) for payload in payloads]
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, len(self.runners)),
-            thread_name_prefix="repro-shard",
-        )
-
-    def tick(
-        self,
-        end: float,
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ) -> List[ShardResult]:
-        return _collect_one_tick(self, end, max_statements, classifier_state)
-
-    def tick_batch(
-        self,
-        ends: Sequence[float],
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ) -> Iterator[ShardResult]:
-        results: "queue.Queue[tuple]" = queue.Queue()
-
-        def run_shard(runner: ShardRunner) -> None:
-            try:
-                for result in runner.tick_batch(
-                    list(ends), max_statements, classifier_state
-                ):
-                    results.put(("ok", result))
-            except BaseException as exc:  # propagated to the parent pull
-                results.put(("error", exc))
-
-        with self.timer.phase("dispatch"):
-            for runner in self.runners:
-                self._executor.submit(run_shard, runner)
-
-        def stream() -> Iterator[ShardResult]:
-            expected = len(self.runners) * len(ends)
-            for _ in range(expected):
-                with self.timer.phase("wait"):
-                    kind, payload = results.get()
-                if kind == "error":
-                    raise payload
-                yield payload
-
-        return stream()
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
-
-
 class ProcessPool:
     """One long-lived process per shard, command/response over a pipe."""
 
@@ -185,11 +98,11 @@ class ProcessPool:
     def __init__(
         self,
         payloads: List[ShardPayload],
-        mp_context: str = "",
         timer: Optional[TickPhaseTimer] = None,
     ) -> None:
         self.timer = timer if timer is not None else TickPhaseTimer(enabled=False)
-        method = mp_context or (
+        # ``fork`` where available (cheap on Linux), else ``spawn``.
+        method = (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
@@ -225,14 +138,6 @@ class ProcessPool:
         except BaseException:
             self._reap()
             raise
-
-    def tick(
-        self,
-        end: float,
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ) -> List[ShardResult]:
-        return _collect_one_tick(self, end, max_statements, classifier_state)
 
     def tick_batch(
         self,
@@ -320,14 +225,11 @@ class ProcessPool:
 def make_pool(
     backend: str,
     payloads: List[ShardPayload],
-    mp_context: str = "",
     timer: Optional[TickPhaseTimer] = None,
 ):
     """Build the pool for an *effective* (already auto-resolved) backend."""
     if backend == "serial":
         return SerialPool(payloads, timer=timer)
-    if backend == "thread":
-        return ThreadPool(payloads, timer=timer)
     if backend == "process":
-        return ProcessPool(payloads, mp_context=mp_context, timer=timer)
+        return ProcessPool(payloads, timer=timer)
     raise ValueError(f"unknown backend {backend!r}")

@@ -2,7 +2,7 @@
 
 :class:`ShardedFleetService` is the fleet-parallel counterpart of
 :class:`repro.service.AutoIndexingService`.  Databases are sharded
-across a worker pool (process, thread, or serial — see
+across a worker pool (process or serial — see
 :class:`~repro.parallel.settings.ParallelSettings`); each virtual-time
 tick every shard advances its databases' workloads and control planes
 concurrently, and the parent replays the resulting per-database deltas
@@ -169,7 +169,6 @@ class ShardedFleetService:
         self.pool = make_pool(
             self.backend,
             self.payloads,
-            mp_context=self.parallel.mp_context,
             timer=self.phase_timer,
         )
         self._closed = False
@@ -275,10 +274,11 @@ class ShardedFleetService:
         timer = self.phase_timer
         registry = self.telemetry.registry
         buffer = CompletionBuffer(self._shard_indices, len(ends))
-        #: shard index -> (shard-clock wall of its first arrival, that
-        #: arrival's parent anchor).  Later ticks are anchored by the
-        #: shard clock's own delta, so a batch renders back-to-back on
-        #: its worker track instead of bunching at parent receipt times.
+        #: shard index -> (shard-clock wall of its first arrival, where
+        #: that tick started on the parent timeline).  Later ticks are
+        #: anchored by the shard clock's own delta, so a batch renders
+        #: back-to-back on its worker track instead of bunching at
+        #: parent receipt times.
         bases: Dict[int, Tuple[float, float]] = {}
         stream = None
         for tick_index, end in enumerate(ends):
@@ -297,9 +297,14 @@ class ShardedFleetService:
                 )
             while not buffer.complete(tick_index):
                 result = next(stream)
-                received = timer.now()
+                # The shard started this tick ``busy_seconds`` before
+                # the parent received it.  Anchoring at receipt instead
+                # would shift each tick by its own duration, and a span
+                # crossing from a long tick into a short one would end
+                # before it started.
+                started = timer.now() - result.busy_seconds
                 base_wall, base_anchor = bases.setdefault(
-                    result.shard_index, (result.started_wall, received)
+                    result.shard_index, (result.started_wall, started)
                 )
                 buffer.add(
                     result, base_anchor + (result.started_wall - base_wall)

@@ -6,7 +6,7 @@ import dataclasses
 
 
 #: Recognized execution backends.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -14,27 +14,22 @@ class ParallelSettings:
     """How the fleet's per-tick work is executed.
 
     ``workers`` is the number of shards the fleet is split into (and,
-    for the thread/process backends, the number of concurrent workers).
+    for the process backend, the number of concurrent workers).
     ``backend`` selects the execution substrate:
 
-    - ``"serial"`` — shards run inline, one after another (the baseline;
-      also the fallback when ``workers <= 1``);
-    - ``"thread"`` — one thread per shard (GIL-bound; exercises the
-      pool/merge machinery without process overhead);
+    - ``"serial"`` — shards run inline, one after another (the
+      in-process reference; also the fallback when ``workers <= 1``);
     - ``"process"`` — one long-lived OS process per shard.  Shard state
       is *built inside* the worker from the picklable specs, so only
       commands and per-tick deltas ever cross the pipe;
     - ``"auto"`` — ``process`` when ``workers > 1``, else ``serial``.
 
     Determinism does not depend on the backend: merged output is
-    byte-identical across all of them for the same seed.
+    byte-identical across both for the same seed.
     """
 
     workers: int = 0
     backend: str = "auto"
-    #: Multiprocessing start method; None picks ``fork`` when available
-    #: (cheap on Linux) and ``spawn`` otherwise.
-    mp_context: str = ""
     #: Collect per-tick phase timings and trace events (the ``repro
     #: profile`` data source).  Off is the ``--no-profile`` escape hatch
     #: the overhead benchmark gate compares against.

@@ -6,7 +6,7 @@
 sides of the process pipe**:
 
 - parent side — ``build`` (tick command construction), ``dispatch``
-  (pipe send / task submit), ``wait`` (blocking on shard results),
+  (pipe send), ``wait`` (blocking on shard results),
   ``merge`` (deterministic replay), ``finalize`` (watchdog, retrain,
   busy accounting).  These five partition the tick, so their sum over
   the tick's wall-clock is the attribution-coverage figure ``repro
@@ -16,9 +16,9 @@ sides of the process pipe**:
   shipped home in the :class:`~repro.parallel.worker.ShardResult`.
 
 Worker events carry offsets relative to the shard's own tick start;
-:meth:`TickPhaseTimer.absorb_shard` re-anchors them at the parent's
-``wait``-phase start, which sidesteps any cross-process clock-base
-question (``perf_counter`` bases are not guaranteed comparable across
+:meth:`TickPhaseTimer.absorb_shard` re-anchors them where that tick
+started on the parent timeline (receipt time minus the shard's own busy
+seconds), which sidesteps any cross-process clock-base question (``perf_counter`` bases are not guaranteed comparable across
 processes).  The same anchoring rebases span wall clocks via
 :func:`rebase_span_ops` before the deterministic merge, so every
 exported timestamp shares one timeline rooted at the service's epoch.
@@ -44,7 +44,7 @@ PHASE_CATALOG: Dict[str, str] = {
     "build": "Parent: tick command construction (classifier state, "
              "statement caps) before anything is dispatched.",
     "dispatch": "Parent: pushing the tick command into the pool "
-                "(pipe send / thread submit / serial loop setup).",
+                "(pipe send / serial loop setup).",
     "wait": "Parent: blocked on shard results — covers worker compute "
             "plus IPC serialization and transfer.",
     "merge": "Parent: DeterministicMerger replay of per-database deltas "

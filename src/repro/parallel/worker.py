@@ -89,9 +89,9 @@ class DatabaseWorker:
         #: backend installs it around its engine work via
         #: :func:`~repro.observability.profiling.use_profiler`, so
         #: shard-side profiling neither leaks into the parent's global
-        #: profiler (the old thread/serial double count) nor dies with a
-        #: worker process (the old process-backend data loss): rows are
-        #: drained into every tick delta and merged at the parent.
+        #: profiler (where serial-backend work would count twice) nor
+        #: dies with a worker process: rows are drained into every tick
+        #: delta and merged at the parent.
         self.profiler = Profiler()
         self.profile = make_profile(
             spec.name,
@@ -262,7 +262,7 @@ class ShardRunner:
         Broadcast classifier state applies before the batch's first tick
         only — the parent flushes a batch at every retrain boundary, so
         this is exactly the "new model at the next tick" semantics of
-        the one-tick protocol.
+        one-tick dispatch.
         """
         for index, end in enumerate(ends):
             yield self.tick(
@@ -278,8 +278,6 @@ def shard_worker_main(conn, payload: ShardPayload) -> None:
 
     Protocol (all picklable):
 
-    - recv ``("tick", end, max_statements, classifier_state)`` →
-      send ``("ok", ShardResult)``;
     - recv ``("tick_batch", ends, max_statements, classifier_state)`` →
       send ``("ok", ShardResult)`` **once per tick, streamed as each
       tick finishes** — the worker stays hot across the whole batch and
@@ -296,11 +294,7 @@ def shard_worker_main(conn, payload: ShardPayload) -> None:
             command = conn.recv()
             if command[0] == "stop":
                 break
-            if command[0] == "tick":
-                _cmd, end, max_statements, classifier_state = command
-                result = runner.tick(end, max_statements, classifier_state)
-                conn.send(("ok", result))
-            elif command[0] == "tick_batch":
+            if command[0] == "tick_batch":
                 _cmd, ends, max_statements, classifier_state = command
                 for result in runner.tick_batch(
                     ends, max_statements, classifier_state

@@ -125,15 +125,3 @@ def build_service(
     fleet = Fleet(FleetSpec(n_databases=n_databases, tier=tier, seed=seed))
     return AutoIndexingService(fleet, **kwargs)
 
-
-def build_fleet_service(n_databases: int, workers: int = 0, **kwargs):
-    """Sharded fleet-parallel counterpart of :func:`build_service`.
-
-    Shards the fleet across ``workers`` shard workers and merges each
-    tick deterministically; see :mod:`repro.parallel`.  Imported lazily
-    because :mod:`repro.parallel.service` reuses this module's
-    :class:`ServiceSettings`.
-    """
-    from repro.parallel.service import build_fleet_service as _build
-
-    return _build(n_databases, workers=workers, **kwargs)

@@ -3,7 +3,7 @@
 The hard guarantee under test: for the same fleet seed, the sharded
 service produces **byte-identical** merged output — audit JSONL, store
 journal, recovered record states, spans — no matter which backend
-(serial / thread / process) or worker count executed the ticks.
+(serial / process) or worker count executed the ticks.
 """
 
 from __future__ import annotations
@@ -34,6 +34,15 @@ WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "4")))
 #: test also gates the pipelined dispatch path against the serial
 #: baseline (which always runs one tick per dispatch).
 BATCH_TICKS = max(1, int(os.environ.get("REPRO_TEST_BATCH_TICKS", "1")))
+
+#: The pool configurations a backend-parametrized test runs on: the
+#: one-shard serial reference, the same shards run inline, and one
+#: process per shard.
+POOL_CASES = pytest.mark.parametrize(
+    "backend, workers",
+    [("serial", 1), ("serial", WORKERS), ("process", WORKERS)],
+    ids=["serial", "sharded-serial", "process"],
+)
 
 
 def run_fleet(
@@ -122,17 +131,17 @@ class TestBackendEquivalence:
     def serial(self):
         return run_fleet("serial", 1)
 
-    def test_thread_backend_matches_serial(self, serial):
-        threaded = run_fleet("thread", WORKERS)
-        assert threaded["jsonl"] == serial["jsonl"]
-        assert threaded["journal"] == serial["journal"]
-        assert threaded["recovered"] == serial["recovered"]
-        assert threaded["spans"] == serial["spans"]
-        assert threaded["history"] == serial["history"]
-        assert threaded["bus"] == serial["bus"]
-        assert threaded["hot_paths"] == serial["hot_paths"]
-        assert threaded["telemetry_history"] == serial["telemetry_history"]
-        assert threaded["anomalies"] == serial["anomalies"]
+    def test_sharded_serial_matches_serial(self, serial):
+        sharded = run_fleet("serial", WORKERS)
+        assert sharded["jsonl"] == serial["jsonl"]
+        assert sharded["journal"] == serial["journal"]
+        assert sharded["recovered"] == serial["recovered"]
+        assert sharded["spans"] == serial["spans"]
+        assert sharded["history"] == serial["history"]
+        assert sharded["bus"] == serial["bus"]
+        assert sharded["hot_paths"] == serial["hot_paths"]
+        assert sharded["telemetry_history"] == serial["telemetry_history"]
+        assert sharded["anomalies"] == serial["anomalies"]
 
     def test_process_backend_matches_serial(self, serial):
         processed = run_fleet("process", WORKERS)
@@ -165,7 +174,7 @@ def test_property_serial_vs_parallel_identical(seed):
     """For any fleet seed: a serial run and a multi-worker run produce
     identical audit JSONL dumps and identical recovered store state."""
     serial = run_fleet("serial", 1, n_databases=2, hours=12.0, seed=seed)
-    parallel = run_fleet("thread", WORKERS, n_databases=2, hours=12.0, seed=seed)
+    parallel = run_fleet("serial", WORKERS, n_databases=2, hours=12.0, seed=seed)
     assert parallel["jsonl"] == serial["jsonl"]
     assert parallel["recovered"] == serial["recovered"]
     assert parallel["hot_paths"] == serial["hot_paths"]
@@ -176,7 +185,7 @@ class TestFleetGauges:
         service = build_fleet_service(
             2,
             workers=2,
-            backend="thread",
+            backend="serial",
             seed=5,
             service_settings=ServiceSettings(max_statements_per_step=40),
         )
@@ -196,7 +205,7 @@ class TestFleetGauges:
 class TestClassifierBroadcast:
     def test_state_reaches_workers_on_next_tick(self):
         service = build_fleet_service(
-            2, workers=2, backend="thread", seed=5
+            2, workers=2, backend="serial", seed=5
         )
         try:
             state = {
@@ -230,13 +239,15 @@ class TestSpecsAndSettings:
         with pytest.raises(ValueError):
             ParallelSettings(backend="gpu")
         with pytest.raises(ValueError):
+            ParallelSettings(backend="thread")
+        with pytest.raises(ValueError):
             ParallelSettings(workers=-1)
         assert ParallelSettings(workers=0).effective_backend == "serial"
         assert ParallelSettings(workers=1).effective_backend == "serial"
         assert ParallelSettings(workers=4).effective_backend == "process"
         assert (
-            ParallelSettings(workers=4, backend="thread").effective_backend
-            == "thread"
+            ParallelSettings(workers=4, backend="serial").effective_backend
+            == "serial"
         )
 
 
@@ -259,7 +270,7 @@ class TestExecutorModeDeterminism:
     def test_vector_serial_matches_sharded(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "vector")
         serial = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        sharded = run_fleet("thread", WORKERS, n_databases=2, hours=24.0, seed=7)
+        sharded = run_fleet("serial", WORKERS, n_databases=2, hours=24.0, seed=7)
         assert self._audit_sha256(sharded) == self._audit_sha256(serial)
         assert sharded == serial  # every stream, not just the audit hash
 
@@ -288,7 +299,7 @@ class TestExecutorModeDeterminism:
         interp = run_fleet("serial", 1, **kwargs)
         monkeypatch.setenv("REPRO_EXECUTOR", "vector")
         vector = run_fleet("serial", 1, **kwargs)
-        sharded = run_fleet("thread", WORKERS, **kwargs)
+        sharded = run_fleet("serial", WORKERS, **kwargs)
         assert self._audit_sha256(vector) == self._audit_sha256(interp)
         assert self._audit_sha256(sharded) == self._audit_sha256(vector)
         assert sharded == vector  # every stream, including hot paths
@@ -304,9 +315,9 @@ class TestWhatIfModeDeterminism:
 
     The batched pricer produces bit-identical costs, plan choices, and
     governor charges (default charge rule), so the merged audit stream
-    must be byte-identical (a) across all three pool backends with
-    batching enabled and (b) between batch and scalar what-if modes on
-    the same fleet seed.
+    must be byte-identical (a) across both pool backends and shard
+    counts with batching enabled and (b) between batch and scalar
+    what-if modes on the same fleet seed.
     """
 
     @staticmethod
@@ -318,14 +329,14 @@ class TestWhatIfModeDeterminism:
     def test_batch_mode_equal_across_backends(self, monkeypatch):
         monkeypatch.setenv("REPRO_WHATIF", "batch")
         serial = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        thread = run_fleet("thread", WORKERS, n_databases=2, hours=24.0, seed=7)
+        sharded = run_fleet("serial", WORKERS, n_databases=2, hours=24.0, seed=7)
         process = run_fleet(
             "process", WORKERS, n_databases=2, hours=24.0, seed=7
         )
         reference = self._audit_sha256(serial)
-        assert self._audit_sha256(thread) == reference
+        assert self._audit_sha256(sharded) == reference
         assert self._audit_sha256(process) == reference
-        assert thread == serial
+        assert sharded == serial
         assert process == serial
 
     def test_batch_and_scalar_streams_identical(self, monkeypatch):
@@ -358,7 +369,7 @@ class TestCli:
                 "--workers",
                 "2",
                 "--backend",
-                "thread",
+                "process",
                 "--audit-out",
                 str(out),
             ],

@@ -17,7 +17,6 @@ Covers the observability contract of the profiling layer:
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -43,7 +42,7 @@ from repro.parallel.timing import (
 from repro.errors import TelemetryError
 from repro.service import ServiceSettings
 
-WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "4")))
+from tests.parallel.test_fleet_parallel import POOL_CASES, WORKERS
 
 
 def profiled_run(
@@ -95,9 +94,9 @@ def profiled_run(
 class TestPhaseTimings:
     """Satellite (a): every backend reports the full phase set."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_all_phases_present_and_non_negative(self, backend):
-        run = profiled_run(backend, 1 if backend == "serial" else WORKERS)
+    @POOL_CASES
+    def test_all_phases_present_and_non_negative(self, backend, workers):
+        run = profiled_run(backend, workers)
         assert run["ticks"], "no tick rows recorded"
         totals = run["summary"]["phase_totals"]
         for phase in PARENT_PHASES + WORKER_PHASES:
@@ -110,7 +109,7 @@ class TestPhaseTimings:
                 assert seconds >= 0.0
 
     def test_phase_histograms_published(self):
-        run = profiled_run("thread", WORKERS)
+        run = profiled_run("serial", WORKERS)
         series = run["registry"].series_for("fleet_phase_seconds")
         phases = {dict(s.labels)["phase"] for s in series}
         assert set(PARENT_PHASES) <= phases
@@ -161,7 +160,7 @@ class TestAttributionCoverage:
     def test_worker_phases_do_not_inflate_coverage(self):
         # Coverage counts parent phases only: a summary computed with
         # worker phases included would double-count the wait window.
-        run = profiled_run("thread", WORKERS)
+        run = profiled_run("process", WORKERS)
         summary = attribution_summary(run["ticks"], PARENT_PHASES)
         covered = summary["covered_seconds"]
         worker_seconds = sum(
@@ -189,6 +188,37 @@ class TestCrossProcessPropagation:
         for wall_start, wall_end in closed:
             assert wall_start is not None
             assert wall_end >= wall_start
+
+    def test_shard_anchor_is_tick_start(self):
+        # The serial backend shares the parent's clock, so each result's
+        # anchor can be checked against the shard's true tick start: it
+        # may trail it only by the hand-off, never by the tick itself.
+        service = build_fleet_service(
+            3,
+            workers=WORKERS,
+            backend="serial",
+            seed=3,
+            service_settings=ServiceSettings(max_statements_per_step=40),
+        )
+        timer = service.phase_timer
+        lags, busy = [], []
+        absorb = timer.absorb_shard
+
+        def recording_absorb(result, anchor=None):
+            lags.append(anchor - (result.started_wall - timer.epoch))
+            busy.append(result.busy_seconds)
+            absorb(result, anchor=anchor)
+
+        timer.absorb_shard = recording_absorb
+        try:
+            service.run(8.0)
+        finally:
+            service.close()
+        assert lags, "no shard results absorbed"
+        assert min(lags) >= 0.0
+        lags.sort()
+        busy.sort()
+        assert lags[len(lags) // 2] < 0.25 * busy[len(busy) // 2]
 
     def test_rebase_span_ops_shifts_only_wall(self):
         ops = [
@@ -240,9 +270,9 @@ class TestTraceExport:
         assert events[0].args["database"] == "db-x"
 
     def test_render_critical_path_mentions_coverage(self):
-        run = profiled_run("thread", WORKERS)
+        run = profiled_run("serial", WORKERS)
         lines = render_critical_path(
-            run["summary"], backend="thread", workers=WORKERS
+            run["summary"], backend="serial", workers=WORKERS
         )
         text = "\n".join(lines)
         assert "attribution coverage" in text
@@ -256,7 +286,7 @@ class TestNoProfileEscapeHatch:
         service = build_fleet_service(
             2,
             workers=2,
-            backend="thread",
+            backend="process",
             instrument=False,
             seed=3,
             service_settings=ServiceSettings(max_statements_per_step=40),
@@ -279,7 +309,7 @@ class TestNoProfileEscapeHatch:
             service = build_fleet_service(
                 2,
                 workers=2,
-                backend="thread",
+                backend="process",
                 instrument=instrument,
                 seed=9,
                 service_settings=ServiceSettings(max_statements_per_step=40),
@@ -300,7 +330,7 @@ class TestProfileCli:
             [
                 sys.executable, "-m", "repro", "profile",
                 "--dbs", "2", "--ticks", "2", "--workers", "2",
-                "--backend", "thread", "--trace-out", str(trace),
+                "--backend", "process", "--trace-out", str(trace),
             ],
             capture_output=True,
             text=True,

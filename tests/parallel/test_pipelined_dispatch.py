@@ -30,7 +30,7 @@ from repro.parallel.spec import DatabaseSpec, ShardPayload, SharedSettings
 from repro.parallel.worker import ShardResult
 from repro.service import ServiceSettings
 
-from tests.parallel.test_fleet_parallel import WORKERS, run_fleet
+from tests.parallel.test_fleet_parallel import POOL_CASES, WORKERS, run_fleet
 
 
 class TestBatchDeterminism:
@@ -40,14 +40,9 @@ class TestBatchDeterminism:
     def serial(self):
         return run_fleet("serial", 1, hours=24.0, batch_ticks=1)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_batched_matches_one_tick_serial(self, backend, serial):
-        batched = run_fleet(
-            backend,
-            1 if backend == "serial" else WORKERS,
-            hours=24.0,
-            batch_ticks=3,
-        )
+    @POOL_CASES
+    def test_batched_matches_one_tick_serial(self, backend, workers, serial):
+        batched = run_fleet(backend, workers, hours=24.0, batch_ticks=3)
         assert batched["jsonl"] == serial["jsonl"]
         assert batched["journal"] == serial["journal"]
         assert batched["recovered"] == serial["recovered"]
@@ -60,7 +55,7 @@ class TestBatchDeterminism:
         digest = hashlib.sha256(serial["jsonl"].encode()).hexdigest()
         for batch_ticks in (2, 5):
             batched = run_fleet(
-                "thread", WORKERS, hours=24.0, batch_ticks=batch_ticks
+                "serial", WORKERS, hours=24.0, batch_ticks=batch_ticks
             )
             assert (
                 hashlib.sha256(batched["jsonl"].encode()).hexdigest()
@@ -80,7 +75,7 @@ def test_property_batched_identical_to_serial(seed, batch_ticks):
         "serial", 1, n_databases=2, hours=12.0, seed=seed, batch_ticks=1
     )
     batched = run_fleet(
-        "thread",
+        "serial",
         WORKERS,
         n_databases=2,
         hours=12.0,
@@ -139,7 +134,7 @@ class TestRetrainFlush:
             service = build_fleet_service(
                 2,
                 workers=2,
-                backend="thread",
+                backend="serial",
                 batch_ticks=batch_ticks,
                 seed=9,
                 service_settings=ServiceSettings(
@@ -264,7 +259,7 @@ class TestBusyAttribution:
         service = build_fleet_service(
             3,
             workers=3,
-            backend="thread",
+            backend="serial",
             seed=5,
             service_settings=ServiceSettings(max_statements_per_step=40),
         )
@@ -350,9 +345,8 @@ class TestCompletionBuffer:
 class TestOutOfOrderMergeDeterminism:
     """Shuffled delta order entering the merge changes nothing merged."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_shuffled_deltas_byte_identical(self, backend):
-        workers = 1 if backend == "serial" else WORKERS
+    @POOL_CASES
+    def test_shuffled_deltas_byte_identical(self, backend, workers):
         reference = run_fleet(backend, workers, hours=12.0, batch_ticks=2)
 
         rng = random.Random(0xC0FFEE)

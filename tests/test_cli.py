@@ -73,6 +73,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["slo", "--format", "xml"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--batch-ticks", "0"],
+            ["run", "--workers", "-2"],
+            ["run", "--dbs", "0"],
+            ["run", "--days", "0"],
+            ["run", "--backend", "thread"],
+            ["profile", "--ticks", "0"],
+            ["profile", "--batch-ticks", "-1"],
+            ["slo", "--workers", "two"],
+            ["ops", "--days", "-1"],
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    def test_count_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["run", "--workers", "0", "--batch-ticks", "1", "--dbs", "1",
+             "--days", "1"]
+        )
+        assert (args.workers, args.batch_ticks, args.dbs, args.days) == (
+            0, 1, 1, 1
+        )
+
 
 class TestCommands:
     def test_ops_runs(self, capsys):
