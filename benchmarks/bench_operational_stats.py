@@ -22,54 +22,61 @@ from repro.controlplane import (
     ControlPlaneSettings,
 )
 from repro.experiment.emulate_user import seed_user_indexes
-from repro.fleet import Fleet, FleetSpec
+from repro.parallel import build_fleet_service
 from repro.reporting import operational_report
 from repro.rng import derive
-from repro.service import AutoIndexingService, ServiceSettings
+from repro.service import ServiceSettings
+
+
+def prepare_database(worker) -> None:
+    """Runs on the database's shard before the first tick."""
+    # Give the database a tuning history (user indexes), some of which
+    # will be duplicates/unused -> drop candidates.
+    name = worker.spec.name
+    seed_user_indexes(
+        worker.profile,
+        derive(71, "ops-user", name),
+        learn_hours=8,
+        max_statements=300,
+    )
+    # Long enough for the drop analysis horizon to engage.
+    worker.managed.drops.settings.observation_days = 3.0
 
 
 def run_operational_loop():
-    fleet = Fleet(FleetSpec(n_databases=fleet_size(5), tier="standard", seed=71))
-    # Give databases a tuning history (user indexes), some of which will
-    # be duplicates/unused -> drop candidates.
-    for profile in fleet:
-        seed_user_indexes(
-            profile,
-            derive(71, "ops-user", profile.name),
-            learn_hours=8,
-            max_statements=300,
-        )
-    service = AutoIndexingService(
-        fleet,
+    service = build_fleet_service(
+        n_databases=fleet_size(5),
+        tier="standard",
+        seed=71,
         control_settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
             validation_window=6 * HOURS,
             drop_analysis_period=2 * DAYS,
+            stuck_threshold=30 * DAYS,
         ),
         service_settings=ServiceSettings(max_statements_per_step=80),
         default_config=AutoIndexingConfig(
             create_mode=AutoMode.AUTO, drop_mode=AutoMode.RECOMMEND_ONLY
         ),
     )
-    # Long enough for the drop analysis horizon to engage.
-    service.plane.settings.stuck_threshold = 30 * DAYS
-    for managed in service.plane.databases.values():
-        managed.drops.settings.observation_days = 3.0
-    service.run(hours=6 * 24)
-    return service
+    with service:
+        for name in service.database_names:
+            service.on_database(name, prepare_database)
+        service.run(hours=6 * 24)
+        report = operational_report(service, window_hours=24)
+    databases_with_recs = {r.database for r in service.store.all_records()}
+    return report, databases_with_recs, len(service.database_names)
 
 
 def test_operational_stats(benchmark):
-    service = benchmark.pedantic(run_operational_loop, rounds=1, iterations=1)
-    report = operational_report(service.plane, window_hours=24)
+    report, databases_with_recs, n_databases = benchmark.pedantic(
+        run_operational_loop, rounds=1, iterations=1
+    )
     emit(["== Operational snapshot (Section 8.1 style) =="] + [
         "  " + line for line in report.lines()
     ])
-    databases_with_recs = {
-        r.database for r in service.plane.store.all_records()
-    }
-    assert len(databases_with_recs) == len(service.fleet), (
+    assert len(databases_with_recs) == n_databases, (
         "recommendations must be generated for every database"
     )
     assert report.create_recommendations > 0

@@ -26,18 +26,19 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
-from repro.fleet import Fleet, FleetSpec
+from repro.parallel import build_fleet_service
 from repro.recommender import MiRecommenderSettings
 from repro.reporting import operational_report
-from repro.service import AutoIndexingService, ServiceSettings
+from repro.service import ServiceSettings
 
 PAPER_REVERT_RATE = 0.11
 
 
 def run_closed_loop(verify_with_whatif: bool):
-    fleet = Fleet(FleetSpec(n_databases=fleet_size(6), tier="standard", seed=41))
-    service = AutoIndexingService(
-        fleet,
+    service = build_fleet_service(
+        n_databases=fleet_size(6),
+        tier="standard",
+        seed=41,
         control_settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
@@ -47,8 +48,10 @@ def run_closed_loop(verify_with_whatif: bool):
         default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
         mi_settings=MiRecommenderSettings(verify_with_whatif=verify_with_whatif),
     )
-    service.run(hours=6 * 24)
-    return service
+    with service:
+        service.run(hours=6 * 24)
+        report = operational_report(service)
+    return report, service.store.count_by_state()
 
 
 def run_both_variants():
@@ -61,12 +64,10 @@ def run_both_variants():
 
 
 def test_revert_rate(benchmark):
-    services = benchmark.pedantic(run_both_variants, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_both_variants, rounds=1, iterations=1)
     lines = ["== Revert rate (Section 8.1) =="]
-    reports = {}
-    for label, service in services.items():
-        report = operational_report(service.plane)
-        reports[label] = report
+    reports = {label: report for label, (report, _states) in runs.items()}
+    for label, report in reports.items():
         lines.extend(
             [
                 f"  {label}:",
@@ -94,5 +95,5 @@ def test_revert_rate(benchmark):
         <= baseline.validated_success + baseline.reverted
     )
     assert verified.reverted > 0
-    states = services["paper pipeline"].plane.store.count_by_state()
+    _report, states = runs["paper pipeline"]
     assert states.get(RecommendationState.SUCCESS, 0) > 0

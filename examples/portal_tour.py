@@ -18,11 +18,12 @@ from repro.controlplane import (
     AutoMode,
     ControlPlaneSettings,
 )
-from repro.service import ServiceSettings, build_service
+from repro.parallel import build_fleet_service
+from repro.service import ServiceSettings
 
 
 def main() -> None:
-    service = build_service(
+    service = build_fleet_service(
         n_databases=2,
         tier="standard",
         seed=77,
@@ -34,6 +35,11 @@ def main() -> None:
         service_settings=ServiceSettings(max_statements_per_step=80),
         default_config=AutoIndexingConfig(create_mode=AutoMode.RECOMMEND_ONLY),
     )
+    with service:
+        tour(service)
+
+
+def tour(service) -> None:
     api = ManagementApi(service)
     api.register_server(
         "contoso-server",
@@ -41,11 +47,11 @@ def main() -> None:
             create_mode=AutoMode.RECOMMEND_ONLY, drop_mode=AutoMode.RECOMMEND_ONLY
         ),
     )
-    for name in service.fleet.names():
+    for name in service.database_names:
         api.assign_database(name, "contoso-server")
 
     print("== Figure 1: settings (inherited from the logical server) ==")
-    database = service.fleet.names()[0]
+    database = service.database_names[0]
     for option, state in api.settings_view(database).items():
         print(f"  {option:<14} {state}")
 
@@ -54,7 +60,7 @@ def main() -> None:
 
     print("\n== Figure 2: current recommendations ==")
     recommendations = []
-    for name in service.fleet.names():
+    for name in service.database_names:
         recommendations.extend(api.current_recommendations(name))
     for view in recommendations:
         print("  " + view.render())

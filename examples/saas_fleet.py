@@ -12,6 +12,7 @@ Run:  python examples/saas_fleet.py
 
 from __future__ import annotations
 
+from repro.api import ManagementApi
 from repro.clock import HOURS
 from repro.controlplane import (
     AutoIndexingConfig,
@@ -19,12 +20,23 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
+from repro.parallel import build_fleet_service
 from repro.reporting import operational_report
-from repro.service import ServiceSettings, build_service
+from repro.service import ServiceSettings
+
+DECIDED = (
+    RecommendationState.SUCCESS.value,
+    RecommendationState.REVERTED.value,
+)
+
+
+def archetype(worker) -> str:
+    """Runs on the database's shard: which application it models."""
+    return worker.profile.archetype
 
 
 def main() -> None:
-    service = build_service(
+    service = build_fleet_service(
         n_databases=5,
         tier="standard",
         seed=23,
@@ -39,12 +51,17 @@ def main() -> None:
             drop_mode=AutoMode.RECOMMEND_ONLY,
         ),
     )
+    with service:
+        run_week(service)
 
-    print(f"managing {len(service.fleet)} databases "
-          f"({', '.join(sorted({p.archetype for p in service.fleet}))})")
+
+def run_week(service) -> None:
+    names = service.database_names
+    archetypes = {service.on_database(name, archetype) for name in names}
+    print(f"managing {len(names)} databases ({', '.join(sorted(archetypes))})")
     for day in range(7):
         service.run(hours=24)
-        counts = service.plane.store.count_by_state()
+        counts = service.store.count_by_state()
         summary = ", ".join(
             f"{state.value}={count}" for state, count in sorted(
                 counts.items(), key=lambda item: item[0].value
@@ -53,25 +70,19 @@ def main() -> None:
         print(f"day {day + 1}: {summary or 'no recommendations yet'}")
 
     print("\n== recommendation history (transparency view) ==")
-    for name in service.fleet.names():
-        history = service.plane.recommendation_history(name)
+    api = ManagementApi(service)
+    for name in names:
+        history = api.history(name)
         if not history:
             continue
         print(f"{name}:")
-        for record in history:
-            if record.state in (
-                RecommendationState.SUCCESS,
-                RecommendationState.REVERTED,
-            ):
-                print(
-                    f"  #{record.rec_id} {record.recommendation.describe()}"
-                )
-                print(
-                    f"      -> {record.state.value}  {record.validation_summary}"
-                )
+        for entry in history:
+            if entry.state in DECIDED:
+                print(f"  #{entry.rec_id} {entry.description}")
+                print(f"      -> {entry.state}  {entry.validation_summary}")
 
     print("\n== operational report (Section 8.1 style) ==")
-    for line in operational_report(service.plane, window_hours=24).lines():
+    for line in operational_report(service, window_hours=24).lines():
         print(line)
 
 

@@ -9,7 +9,7 @@ Public entry points:
 - :mod:`repro.validation` — before/after validation with auto-revert;
 - :mod:`repro.controlplane` — the per-region automation;
 - :mod:`repro.experiment` — B-instances and the Figure 6 experiment;
-- :mod:`repro.service` — the closed-loop region service facade;
+- :mod:`repro.parallel` — the closed-loop region service, sharded;
 - :mod:`repro.api` — the user-facing management surface (portal views).
 """
 
@@ -17,10 +17,9 @@ __version__ = "1.0.0"
 
 from repro.clock import DAYS, HOURS, MINUTES, SimClock
 from repro.fleet import Fleet, FleetSpec
-from repro.service import AutoIndexingService, ServiceSettings, build_service
+from repro.service import ServiceSettings
 
 __all__ = [
-    "AutoIndexingService",
     "DAYS",
     "Fleet",
     "FleetSpec",
@@ -28,6 +27,5 @@ __all__ = [
     "MINUTES",
     "ServiceSettings",
     "SimClock",
-    "build_service",
     "__version__",
 ]

@@ -2,8 +2,9 @@
 
 Azure exposes the auto-indexing controls through the portal, a REST API,
 and T-SQL; this module is that surface for the simulator: a
-:class:`ManagementApi` over a running :class:`~repro.service.AutoIndexingService`
-offering exactly the views the paper's Figures 1-3 show —
+:class:`ManagementApi` over a running
+:class:`~repro.parallel.ShardedFleetService` offering exactly the views
+the paper's Figures 1-3 show —
 
 - **settings** per logical server and per database, with databases
   inheriting the server default until they override it (Figure 1);
@@ -27,8 +28,9 @@ from repro.controlplane import (
     RecommendationState,
 )
 from repro.controlplane.store import RecommendationRecord
+from repro.errors import PermanentError
+from repro.parallel import DatabaseWorker, ShardedFleetService
 from repro.recommender.recommendation import Action
-from repro.service import AutoIndexingService
 
 
 @dataclasses.dataclass
@@ -71,9 +73,14 @@ class HistoryView:
 
 
 class ManagementApi:
-    """Portal/REST-style access to one region's service."""
+    """Portal/REST-style access to one region's service.
 
-    def __init__(self, service: AutoIndexingService) -> None:
+    Views read the service's merged store (global rec ids); settings
+    changes, applies and statement lookups run on the owning shard
+    through :meth:`~repro.parallel.ShardedFleetService.on_database`.
+    """
+
+    def __init__(self, service: ShardedFleetService) -> None:
         self.service = service
         #: Logical-server default settings; databases inherit these until
         #: they set an explicit override (Figure 1's "inherited" markers).
@@ -92,7 +99,7 @@ class ManagementApi:
     def assign_database(self, database: str, server: str) -> None:
         if server not in self._server_defaults:
             raise KeyError(f"unknown logical server {server!r}")
-        if database not in self.service.plane.databases:
+        if database not in self.service.configs:
             raise KeyError(f"unknown database {database!r}")
         self._server_of[database] = server
         self._apply_effective(database)
@@ -140,7 +147,7 @@ class ManagementApi:
     # Recommendation views (Figures 2-3)
 
     def current_recommendations(self, database: str) -> List[RecommendationView]:
-        records = self.service.plane.store.records_for(
+        records = self.service.store.records_for(
             database=database, state=RecommendationState.ACTIVE
         )
         return [self._view(record) for record in records]
@@ -149,12 +156,9 @@ class ManagementApi:
         """The Figure 3 detail blade, including impacted statements."""
         record = self._record(rec_id)
         recommendation = record.recommendation
-        managed = self.service.plane.databases[record.database]
-        statements = []
-        for query_id in recommendation.impacted_queries:
-            info = managed.engine.query_store.query_info(query_id)
-            if info is not None:
-                statements.append(info.template_text)
+        statements = self.service.on_database(
+            record.database, _statement_texts, recommendation.impacted_queries
+        )
         return {
             "rec_id": record.rec_id,
             "database": record.database,
@@ -193,15 +197,30 @@ class ManagementApi:
         return text + ";"
 
     def apply_recommendation(self, rec_id: int) -> None:
-        """User-initiated apply; the system implements and validates it."""
-        self.service.plane.request_implementation(rec_id)
+        """User-initiated apply; the system implements and validates it.
+
+        Raises :class:`~repro.errors.PermanentError` if the
+        recommendation is unknown or no longer ACTIVE on its shard.
+        """
+        rec_ids = self.service.merger.rec_ids
+        for (database, local_id), global_id in rec_ids.items():
+            if global_id == rec_id:
+                self.service.on_database(
+                    database, DatabaseWorker.request_implementation, local_id
+                )
+                return
+        raise PermanentError(f"recommendation {rec_id} is not applicable")
 
     # ------------------------------------------------------------------
     # History (transparency, Section 8.2)
 
     def history(self, database: str) -> List[HistoryView]:
         views = []
-        for record in self.service.plane.recommendation_history(database):
+        records = sorted(
+            self.service.store.records_for(database=database),
+            key=lambda r: r.rec_id,
+        )
+        for record in records:
             views.append(
                 HistoryView(
                     rec_id=record.rec_id,
@@ -221,7 +240,7 @@ class ManagementApi:
     # ------------------------------------------------------------------
 
     def _record(self, rec_id: int) -> RecommendationRecord:
-        record = self.service.plane.store.get(rec_id)
+        record = self.service.store.get(rec_id)
         if record is None:
             raise KeyError(f"unknown recommendation {rec_id}")
         return record
@@ -240,3 +259,9 @@ class ManagementApi:
             state=record.state.value,
             source=recommendation.source,
         )
+
+
+def _statement_texts(worker, query_ids) -> List[str]:
+    query_store = worker.profile.engine.query_store
+    infos = [query_store.query_info(query_id) for query_id in query_ids]
+    return [info.template_text for info in infos if info is not None]

@@ -56,18 +56,16 @@ from repro.experiment.compare import ComparisonSettings, compare_fleet
 from repro.fleet import Fleet, FleetSpec
 from repro.observability import (
     AuditLog,
-    Profiler,
     json_text,
     prometheus_text,
     render_dashboard,
     render_explain,
-    use_profiler,
 )
 from repro.observability.explain import render_index
 from repro.parallel import build_fleet_service
 from repro.parallel.settings import BACKENDS
 from repro.reporting import operational_report
-from repro.service import ServiceSettings, build_service
+from repro.service import ServiceSettings
 
 
 def _int_at_least(minimum: int):
@@ -90,6 +88,11 @@ def _int_at_least(minimum: int):
 
 _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
+
+
+def _rec_id(text: str):
+    """An explain ``rec_id``: an integer >= 1, or ``latest``."""
+    return text if text == "latest" else _positive(text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -123,6 +126,39 @@ def _add_pool(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _build_fleet(args: argparse.Namespace):
+    """The closed loop every fleet command runs: 2 h snapshots, 8 h
+    analysis, 6 h validation windows, auto-create on.  Commands without
+    pool options (``ops``, ``telemetry``, ``explain``) run it serially."""
+    return build_fleet_service(
+        n_databases=args.dbs,
+        workers=getattr(args, "workers", 0),
+        backend=getattr(args, "backend", "auto"),
+        instrument=not getattr(args, "no_profile", False),
+        batch_ticks=getattr(args, "batch_ticks", 1),
+        tier=args.tier,
+        seed=args.seed,
+        control_settings=ControlPlaneSettings(
+            snapshot_period=2 * HOURS,
+            analysis_period=8 * HOURS,
+            validation_window=6 * HOURS,
+        ),
+        service_settings=ServiceSettings(
+            max_statements_per_step=getattr(args, "max_statements", 80)
+        ),
+        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+    )
+
+
+def _print_day(service, day: int) -> None:
+    counts = service.store.count_by_state()
+    summary = ", ".join(
+        f"{state.value}={count}"
+        for state, count in sorted(counts.items(), key=lambda i: i[0].value)
+    )
+    print(f"  day {day + 1}: {summary or '(quiet)'}")
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
     """Run the quickstart example end to end."""
     # The quickstart example is a self-contained script; load and reuse
@@ -143,82 +179,41 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_ops(args: argparse.Namespace) -> int:
     """Closed-loop run over a fleet, ending with the operational report."""
-    service = build_service(
-        n_databases=args.dbs,
-        tier=args.tier,
-        seed=args.seed,
-        control_settings=ControlPlaneSettings(
-            snapshot_period=2 * HOURS,
-            analysis_period=8 * HOURS,
-            validation_window=6 * HOURS,
-        ),
-        service_settings=ServiceSettings(max_statements_per_step=80),
-        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-    )
-    print(f"running the closed loop: {args.dbs} {args.tier} databases, "
-          f"{args.days} simulated days")
-    for day in range(args.days):
-        service.run(hours=24)
-        counts = service.plane.store.count_by_state()
-        summary = ", ".join(
-            f"{state.value}={count}"
-            for state, count in sorted(counts.items(), key=lambda i: i[0].value)
-        )
-        print(f"  day {day + 1}: {summary or '(quiet)'}")
-    print()
-    for line in operational_report(service.plane).lines():
-        print(line)
-    _maybe_dump_audit(service.plane, args)
+    with _build_fleet(args) as service:
+        print(f"running the closed loop: {args.dbs} {args.tier} databases, "
+              f"{args.days} simulated days")
+        for day in range(args.days):
+            service.run(hours=24)
+            _print_day(service, day)
+        print()
+        for line in operational_report(service).lines():
+            print(line)
+        _maybe_dump_audit(service, args)
     return 0
 
 
-def _maybe_dump_audit(plane, args: argparse.Namespace) -> None:
+def _maybe_dump_audit(service, args: argparse.Namespace) -> None:
     if getattr(args, "audit_out", None):
-        count = plane.audit.dump(args.audit_out)
+        count = service.audit.dump(args.audit_out)
         print(f"wrote {count} audit events to {args.audit_out}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Fleet-parallel closed-loop run (sharded workers, merged output)."""
-    service = build_fleet_service(
-        n_databases=args.dbs,
-        workers=args.workers,
-        backend=args.backend,
-        instrument=not args.no_profile,
-        batch_ticks=args.batch_ticks,
-        tier=args.tier,
-        seed=args.seed,
-        control_settings=ControlPlaneSettings(
-            snapshot_period=2 * HOURS,
-            analysis_period=8 * HOURS,
-            validation_window=6 * HOURS,
-        ),
-        service_settings=ServiceSettings(
-            max_statements_per_step=args.max_statements
-        ),
-        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-    )
-    batched = (
-        f", {args.batch_ticks} ticks per dispatch"
-        if args.batch_ticks > 1
-        else ""
-    )
-    print(
-        f"running the fleet-parallel loop: {args.dbs} {args.tier} databases "
-        f"across {len(service.payloads)} {service.backend} worker(s)"
-        f"{batched}, {args.days} simulated days"
-    )
-    try:
+    with _build_fleet(args) as service:
+        batched = (
+            f", {args.batch_ticks} ticks per dispatch"
+            if args.batch_ticks > 1
+            else ""
+        )
+        print(
+            f"running the fleet-parallel loop: {args.dbs} {args.tier} "
+            f"databases across {len(service.payloads)} {service.backend} "
+            f"worker(s){batched}, {args.days} simulated days"
+        )
         for day in range(args.days):
             service.run(hours=24)
-            counts = service.store.count_by_state()
-            summary = ", ".join(
-                f"{state.value}={count}"
-                for state, count in sorted(
-                    counts.items(), key=lambda i: i[0].value
-                )
-            )
-            print(f"  day {day + 1}: {summary or '(quiet)'}")
+            _print_day(service, day)
         print()
         registry = service.telemetry.registry
         wall = service.tick_wall_total
@@ -235,11 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"validations: {len(service.validation_history)}")
         firing = service.watchdog.active()
         print(f"firing alerts: {', '.join(a.rule for a in firing) or 'none'}")
-        if getattr(args, "audit_out", None):
-            count = service.telemetry.audit.dump(args.audit_out)
-            print(f"wrote {count} audit events to {args.audit_out}")
-    finally:
-        service.close()
+        _maybe_dump_audit(service, args)
     return 0
 
 
@@ -252,31 +243,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         trace_event_json,
     )
 
-    service = build_fleet_service(
-        n_databases=args.dbs,
-        workers=args.workers,
-        backend=args.backend,
-        instrument=not args.no_profile,
-        batch_ticks=args.batch_ticks,
-        tier=args.tier,
-        seed=args.seed,
-        control_settings=ControlPlaneSettings(
-            snapshot_period=2 * HOURS,
-            analysis_period=8 * HOURS,
-            validation_window=6 * HOURS,
-        ),
-        service_settings=ServiceSettings(
-            max_statements_per_step=args.max_statements
-        ),
-        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-    )
-    hours = args.ticks * service.settings.step_hours
-    print(
-        f"profiling the fleet-parallel loop: {args.dbs} {args.tier} "
-        f"databases across {len(service.payloads)} {service.backend} "
-        f"worker(s), {args.ticks} tick(s) ({hours:.0f} simulated hours)"
-    )
-    try:
+    with _build_fleet(args) as service:
+        hours = args.ticks * service.settings.step_hours
+        print(
+            f"profiling the fleet-parallel loop: {args.dbs} {args.tier} "
+            f"databases across {len(service.payloads)} {service.backend} "
+            f"worker(s), {args.ticks} tick(s) ({hours:.0f} simulated hours)"
+        )
         service.run(hours=hours)
         if args.no_profile:
             print(f"profiling disabled (--no-profile): "
@@ -313,27 +286,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 json.dump(doc, fh)
             print(f"  wrote {len(doc['traceEvents'])} trace events to "
                   f"{args.trace_out} (load in Perfetto / chrome://tracing)")
-    finally:
-        service.close()
     return 0
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
     """Closed-loop run rendered through the observability layer."""
-    profiler = Profiler()
-    with use_profiler(profiler):
-        service = build_service(
-            n_databases=args.dbs,
-            tier=args.tier,
-            seed=args.seed,
-            control_settings=ControlPlaneSettings(
-                snapshot_period=2 * HOURS,
-                analysis_period=8 * HOURS,
-                validation_window=6 * HOURS,
-            ),
-            service_settings=ServiceSettings(max_statements_per_step=80),
-            default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-        )
+    with _build_fleet(args) as service:
         # Progress goes to stderr so `--format json` / `--format prom`
         # stdout stays machine-parseable.
         print(
@@ -342,30 +300,30 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         service.run(hours=args.days * 24)
-    telemetry = service.telemetry
-    if args.format == "json":
-        print(
-            json_text(
+        telemetry = service.telemetry
+        if args.format == "json":
+            print(
+                json_text(
+                    telemetry.registry,
+                    telemetry.recorder,
+                    service.profiler,
+                    history=service.history,
+                )
+            )
+        elif args.format == "prom":
+            print(prometheus_text(telemetry.registry), end="")
+        else:
+            print()
+            for line in render_dashboard(
                 telemetry.registry,
                 telemetry.recorder,
-                profiler,
-                history=service.plane.history,
-            )
-        )
-    elif args.format == "prom":
-        print(prometheus_text(telemetry.registry), end="")
-    else:
-        print()
-        for line in render_dashboard(
-            telemetry.registry,
-            telemetry.recorder,
-            profiler,
-            top_n=args.top,
-            watchdog=service.plane.watchdog,
-            history=service.plane.history,
-        ):
-            print(line)
-    _maybe_dump_audit(service.plane, args)
+                service.profiler,
+                top_n=args.top,
+                watchdog=service.watchdog,
+                history=service.history,
+            ):
+                print(line)
+        _maybe_dump_audit(service, args)
     return 0
 
 
@@ -479,7 +437,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         store = plane.store
         database = args.database or scenario.database
         if args.rec_id is None:
-            args.rec_id = str(scenario.rec_id)
+            args.rec_id = scenario.rec_id
         print(f"final state: {scenario.final_state.value}; firing alerts: "
               f"{', '.join(a.rule for a in plane.watchdog.active()) or 'none'}")
         print()
@@ -488,26 +446,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print("explain needs a <database> (or --regression-demo / --audit)")
             return 1
         database = args.database
-        service = build_service(
-            n_databases=args.dbs,
-            tier=args.tier,
-            seed=args.seed,
-            control_settings=ControlPlaneSettings(
-                snapshot_period=2 * HOURS,
-                analysis_period=8 * HOURS,
-                validation_window=6 * HOURS,
-            ),
-            service_settings=ServiceSettings(max_statements_per_step=80),
-            default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-        )
-        print(f"running the closed loop: {args.dbs} {args.tier} databases, "
-              f"{args.days} simulated days")
-        service.run(hours=args.days * 24)
+        with _build_fleet(args) as service:
+            print(f"running the closed loop: {args.dbs} {args.tier} "
+                  f"databases, {args.days} simulated days")
+            service.run(hours=args.days * 24)
         print()
-        plane = service.plane
-        audit = plane.audit
-        recorder = plane.telemetry.recorder
-        store = plane.store
+        audit = service.audit
+        recorder = service.telemetry.recorder
+        store = service.store
     if args.rec_id is None:
         for line in render_index(audit, database):
             print(line)
@@ -520,7 +466,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             return 1
         rec_id = rec_ids[-1]
     else:
-        rec_id = int(args.rec_id)
+        rec_id = args.rec_id
     for line in render_explain(
         audit, database, rec_id, recorder=recorder, store=store
     ):
@@ -568,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pool(run)
     run.add_argument(
         "--max-statements",
-        type=int,
+        type=_positive,
         default=80,
         help="statement cap per database per step",
     )
@@ -599,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pool(prof)
     prof.add_argument(
         "--max-statements",
-        type=int,
+        type=_positive,
         default=80,
         help="statement cap per database per step",
     )
@@ -611,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pipelined dispatch path)",
     )
     prof.add_argument(
-        "--top", type=int, default=10, help="hot paths to list"
+        "--top", type=_non_negative, default=10, help="hot paths to list"
     )
     prof.add_argument(
         "--trace-out",
@@ -632,7 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(telemetry)
     telemetry.add_argument("--days", type=_positive, default=4)
     telemetry.add_argument(
-        "--top", type=int, default=5, help="slowest tuning sessions to list"
+        "--top",
+        type=_non_negative,
+        default=5,
+        help="slowest tuning sessions to list",
     )
     telemetry.add_argument(
         "--format",
@@ -687,6 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "rec_id",
         nargs="?",
+        type=_rec_id,
         help="recommendation id, or 'latest' (omit for the decision index)",
     )
     explain.add_argument("--days", type=_positive, default=4)

@@ -128,7 +128,6 @@ class ControlPlane:
         settings: Optional[ControlPlaneSettings] = None,
         policy: Optional[RecommenderPolicy] = None,
         validation_settings: Optional[ValidationSettings] = None,
-        classifier: Optional[LowImpactClassifier] = None,
         mi_settings: Optional[MiRecommenderSettings] = None,
         fault_seed: int = 0,
         enable_watchdog: bool = True,
@@ -138,7 +137,7 @@ class ControlPlane:
         self.settings = settings or ControlPlaneSettings()
         self.policy = policy or RecommenderPolicy()
         self.validation_settings = validation_settings or ValidationSettings()
-        self.classifier = classifier or LowImpactClassifier()
+        self.classifier = LowImpactClassifier()
         self.mi_settings = mi_settings
         self.telemetry = Telemetry()
         #: ``enable_watchdog=False`` is used by per-shard worker planes:
@@ -682,13 +681,6 @@ class ControlPlane:
             raise PermanentError(f"recommendation {rec_id} is not applicable")
         managed = self.databases[record.database]
         self.implement_service.begin(record, managed, self.clock.now)
-
-    def recommendation_history(self, database: str) -> List[RecommendationRecord]:
-        """The transparency view: every action and its state (Section 2)."""
-        return sorted(
-            self.store.records_for(database=database),
-            key=lambda r: r.rec_id,
-        )
 
     # ------------------------------------------------------------------
     # Aggregate reporting

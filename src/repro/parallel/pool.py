@@ -1,13 +1,13 @@
 """Worker pools: serial and process execution of shard ticks.
 
 Both backends expose the same surface — ``tick_batch(ends,
-max_statements, classifier_state) -> Iterator[ShardResult]`` and
-``close()`` — and both produce identical deltas for the same seed; only
-wall-clock behaviour differs.  The serial backend is the in-process
-reference; the process backend keeps one long-lived OS process per
-shard: shard state is built inside the child from the picklable payload
-at startup, and only commands / per-tick deltas cross the pipe
-afterwards.
+max_statements, classifier_state) -> Iterator[ShardResult]``,
+``call(database, fn, args)`` and ``close()`` — and both produce
+identical deltas for the same seed; only wall-clock behaviour differs.
+The serial backend is the in-process reference; the process backend
+keeps one long-lived OS process per shard: shard state is built inside
+the child from the picklable payload at startup, and only commands /
+per-tick deltas cross the pipe afterwards.
 
 ``tick_batch`` is the pipelined protocol: the parent pushes a batch of
 K tick commands in one round-trip, workers run all K ticks back-to-back
@@ -24,6 +24,11 @@ profile`` attributes IPC cost per backend without the backends having
 to know anything else about profiling.  Under pipelining each blocking
 receive is bracketed individually, so ``wait`` accrues to whichever
 tick the parent is currently assembling.
+
+``call`` runs a picklable module-level ``fn(worker, *args)`` against
+one database's :class:`~repro.parallel.worker.DatabaseWorker` between
+batches and returns ``fn``'s result; an exception ``fn`` raises is
+re-raised in the parent and the shard keeps serving.
 
 A shard process that dies mid-protocol (killed, OOMed, segfaulted —
 anything that skips its own ``("error", ...)`` report) surfaces as a
@@ -64,6 +69,11 @@ class SerialPool:
     ) -> None:
         self.timer = timer if timer is not None else TickPhaseTimer(enabled=False)
         self.runners = [ShardRunner(payload) for payload in payloads]
+        self._runner_of = {
+            spec.name: runner
+            for runner, payload in zip(self.runners, payloads)
+            for spec in payload.databases
+        }
 
     def tick_batch(
         self,
@@ -85,6 +95,9 @@ class SerialPool:
                     yield result
 
         return stream()
+
+    def call(self, database: str, fn, args: tuple):
+        return self._runner_of[database].call(database, fn, args)
 
     def close(self) -> None:
         pass
@@ -111,6 +124,12 @@ class ProcessPool:
         self._connections = []
         self._processes = []
         self._shard_indices = [payload.shard_index for payload in payloads]
+        #: Database name -> position of its shard in the lists above.
+        self._position_of = {
+            spec.name: position
+            for position, payload in enumerate(payloads)
+            for spec in payload.databases
+        }
         self._last_command = "start"
         # Construction is all-or-nothing: a failure after some children
         # have already been spawned must not leak them.
@@ -188,6 +207,25 @@ class ProcessPool:
             if pending[conn] == 0:
                 del pending[conn]
             yield reply[1]
+
+    def call(self, database: str, fn, args: tuple):
+        position = self._position_of[database]
+        shard_index = self._shard_indices[position]
+        conn = self._connections[position]
+        self._last_command = "call"
+        try:
+            conn.send(("call", database, fn, args))
+            reply = conn.recv()
+        except (EOFError, ConnectionError, OSError):
+            crash = ShardCrashError(shard_index, self._last_command)
+            self.close()
+            raise crash
+        if reply[0] == "raised":
+            raise reply[1]
+        if reply[0] != "ok":
+            self.close()
+            raise RuntimeError(f"shard worker failed:\n{reply[1]}")
+        return reply[1]
 
     def _reap(self) -> None:
         """Terminate and join every spawned child, then drop the pipes."""

@@ -1,8 +1,7 @@
 """The sharded fleet service: dispatch ticks, merge deterministically.
 
-:class:`ShardedFleetService` is the fleet-parallel counterpart of
-:class:`repro.service.AutoIndexingService`.  Databases are sharded
-across a worker pool (process or serial — see
+:class:`ShardedFleetService` is the region's one closed loop.  Databases
+are sharded across a worker pool (process or serial — see
 :class:`~repro.parallel.settings.ParallelSettings`); each virtual-time
 tick every shard advances its databases' workloads and control planes
 concurrently, and the parent replays the resulting per-database deltas
@@ -26,6 +25,12 @@ see the same merged state at the same virtual time in every backend:
 the alert watchdog evaluates over the merged registry, and the
 low-impact classifier retrains on the merged validation history (the
 new state is broadcast to workers with the *next* tick command).
+
+Between runs, :meth:`ShardedFleetService.on_database` runs a command
+against one database's worker (the management API's settings changes
+and user-initiated applies, the operational report's Query Store
+scans); whatever the command emits drains with the next tick, so it
+merges in the usual order on every backend.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from repro.parallel.timing import (
     TickPhaseTimer,
     rebase_span_ops,
 )
+from repro.parallel.worker import DatabaseWorker
 from repro.validation import ValidationSettings
 
 #: Per-tick wall times kept in memory for p95 derivation.  Long runs
@@ -148,6 +154,10 @@ class ShardedFleetService:
             config=default_config,
         )
         self.database_names = [spec.name for spec in self.specs]
+        #: Parent-side view of each database's automation settings.
+        self.configs: Dict[str, AutoIndexingConfig] = {
+            spec.name: spec.config for spec in self.specs
+        }
         shared = SharedSettings(
             control_settings=control_settings,
             validation_settings=validation_settings,
@@ -418,6 +428,22 @@ class ShardedFleetService:
 
     # ------------------------------------------------------------------
 
+    def on_database(self, name: str, fn, *args):
+        """Run ``fn(worker, *args)`` on the shard that owns ``name``.
+
+        ``fn`` must be a picklable module-level function taking the
+        database's :class:`~repro.parallel.worker.DatabaseWorker`; its
+        result must be picklable too.  Call only between :meth:`run`
+        calls.  If ``fn`` raises, the same exception type is re-raised
+        here and the shard keeps serving.
+        """
+        return self.pool.call(name, fn, args)
+
+    def set_config(self, database: str, config: AutoIndexingConfig) -> None:
+        """Update a database's automation settings (the Section 2 portal)."""
+        self.on_database(database, DatabaseWorker.set_config, config)
+        self.configs[database] = config
+
     @property
     def audit(self):
         """The merged decision-provenance stream."""
@@ -469,7 +495,7 @@ def build_fleet_service(
     history: bool = True,
     **kwargs,
 ) -> ShardedFleetService:
-    """Convenience constructor mirroring :func:`repro.service.build_service`."""
+    """Convenience constructor: parallel settings + service in one call."""
     parallel = ParallelSettings(
         workers=workers,
         backend=backend,

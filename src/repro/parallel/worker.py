@@ -188,6 +188,22 @@ class DatabaseWorker:
     def load_classifier(self, state: Optional[dict]) -> None:
         self.plane.classifier.load_state(state)
 
+    # Commands the parent sends between runs (see
+    # :meth:`~repro.parallel.ShardedFleetService.on_database`); their
+    # effects drain with the next tick.
+
+    @property
+    def managed(self):
+        """This database's entry in its plane (engine, config, recommenders)."""
+        return self.plane.databases[self.spec.name]
+
+    def set_config(self, config) -> None:
+        self.managed.config = config
+
+    def request_implementation(self, rec_id: int) -> None:
+        """User-initiated apply of a recommendation, by *local* rec id."""
+        self.plane.request_implementation(rec_id)
+
 
 @dataclasses.dataclass
 class ShardResult:
@@ -225,6 +241,11 @@ class ShardRunner:
         self.workers = [
             DatabaseWorker(spec, payload.shared) for spec in payload.databases
         ]
+        self._by_name = {worker.spec.name: worker for worker in self.workers}
+
+    def call(self, database: str, fn, args: tuple):
+        """Run ``fn(worker, *args)`` on one of this shard's databases."""
+        return fn(self._by_name[database], *args)
 
     def tick(
         self,
@@ -282,10 +303,13 @@ def shard_worker_main(conn, payload: ShardPayload) -> None:
       send ``("ok", ShardResult)`` **once per tick, streamed as each
       tick finishes** — the worker stays hot across the whole batch and
       the parent merges early ticks while later ones still compute;
+    - recv ``("call", database, fn, args)`` → send ``("ok", fn(worker,
+      *args))``, or ``("raised", exception)`` if ``fn`` raised — the
+      worker keeps serving either way;
     - recv ``("stop",)`` → exit.
 
-    Any exception is reported as ``("error", formatted_traceback)`` and
-    the worker exits; the pool raises it in the parent.
+    Any other exception is reported as ``("error", formatted_traceback)``
+    and the worker exits; the pool raises it in the parent.
     """
     try:
         runner = ShardRunner(payload)
@@ -300,6 +324,13 @@ def shard_worker_main(conn, payload: ShardPayload) -> None:
                     ends, max_statements, classifier_state
                 ):
                     conn.send(("ok", result))
+            elif command[0] == "call":
+                _cmd, database, fn, args = command
+                try:
+                    reply = ("ok", runner.call(database, fn, args))
+                except Exception as exc:
+                    reply = ("raised", exc)
+                conn.send(reply)
             else:  # pragma: no cover - protocol misuse
                 conn.send(("error", f"unknown command {command[0]!r}"))
                 break

@@ -6,13 +6,14 @@ validated / reverted counts, revert rate, the split of revert causes,
 queries whose CPU or reads improved by more than 2x, and databases whose
 aggregate CPU consumption dropped by more than half.
 
-The counts are read from the control plane's
+The counts are read from the service's merged
 :class:`~repro.observability.MetricsRegistry` — the same counters the
 ``repro telemetry`` dashboard renders — so the end-of-run snapshot and
 the live telemetry can never disagree.  (Terminal-state transition
 counters equal record counts because terminal states have no exits.)
-Only the query-improvement statistics still aggregate Query Store data
-directly, since they compare per-query windows no counter carries.
+Only the query-improvement statistics still aggregate Query Store data,
+since they compare per-query windows no counter carries; that scan runs
+on each database's shard, in sorted name order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.clock import HOURS
-from repro.controlplane import ControlPlane
+from repro.parallel import ShardedFleetService
 
 
 @dataclasses.dataclass
@@ -64,61 +65,55 @@ class OperationalReport:
         ]
 
 
-def _query_improvements(
-    plane: ControlPlane, window_hours: float
-) -> Tuple[int, int, int]:
-    """(queries improved >2x, dbs improved >50%, dbs observed).
+def _query_improvements(worker, window_hours: float) -> Tuple[int, int, int]:
+    """(queries improved >2x, db improved >50%, db observed) for one
+    database, run on its shard.
 
     Compares per-query mean CPU between the first and last observation
-    windows of each database, restricted to queries present in both.
+    windows, restricted to queries present in both.
     """
+    engine = worker.profile.engine
+    now = engine.now
+    if now <= 2 * window_hours * HOURS:
+        return 0, 0, 0
+    early = engine.query_store.aggregate(0.0, window_hours * HOURS)
+    late = engine.query_store.aggregate(now - window_hours * HOURS, now)
+
+    def per_query_mean(window):
+        means: Dict[int, Tuple[float, int]] = {}
+        for (query_id, _plan), stats in window.items():
+            cpu = stats.metrics["cpu_time_ms"]
+            total, count = means.get(query_id, (0.0, 0))
+            means[query_id] = (total + cpu.total, count + stats.executions)
+        return {
+            qid: total / count
+            for qid, (total, count) in means.items()
+            if count > 0
+        }
+
+    early_means = per_query_mean(early)
+    late_means = per_query_mean(late)
+    common = set(early_means) & set(late_means)
+    if not common:
+        return 0, 0, 0
     improved_queries = 0
-    improved_dbs = 0
-    observed_dbs = 0
-    for managed in plane.databases.values():
-        engine = managed.engine
-        now = engine.now
-        if now <= 2 * window_hours * HOURS:
-            continue
-        early = engine.query_store.aggregate(0.0, window_hours * HOURS)
-        late = engine.query_store.aggregate(now - window_hours * HOURS, now)
-
-        def per_query_mean(window):
-            means: Dict[int, Tuple[float, int]] = {}
-            for (query_id, _plan), stats in window.items():
-                cpu = stats.metrics["cpu_time_ms"]
-                total, count = means.get(query_id, (0.0, 0))
-                means[query_id] = (total + cpu.total, count + stats.executions)
-            return {
-                qid: total / count
-                for qid, (total, count) in means.items()
-                if count > 0
-            }
-
-        early_means = per_query_mean(early)
-        late_means = per_query_mean(late)
-        common = set(early_means) & set(late_means)
-        if not common:
-            continue
-        observed_dbs += 1
-        early_total = 0.0
-        late_total = 0.0
-        for query_id in common:
-            before, after = early_means[query_id], late_means[query_id]
-            early_total += before
-            late_total += after
-            if after > 0 and before / after >= 2.0:
-                improved_queries += 1
-        if early_total > 0 and late_total <= early_total * 0.5:
-            improved_dbs += 1
-    return improved_queries, improved_dbs, observed_dbs
+    early_total = 0.0
+    late_total = 0.0
+    for query_id in common:
+        before, after = early_means[query_id], late_means[query_id]
+        early_total += before
+        late_total += after
+        if after > 0 and before / after >= 2.0:
+            improved_queries += 1
+    improved = early_total > 0 and late_total <= early_total * 0.5
+    return improved_queries, int(improved), 1
 
 
 def operational_report(
-    plane: ControlPlane, window_hours: float = 24.0
+    service: ShardedFleetService, window_hours: float = 24.0
 ) -> OperationalReport:
     """Build the Section 8.1-style operational report for a service run."""
-    registry = plane.telemetry.registry
+    registry = service.telemetry.registry
     creates = int(registry.total("recommendations_created_total", action="create"))
     drops = int(registry.total("recommendations_created_total", action="drop"))
     implemented = int(registry.total("implementations_completed_total"))
@@ -133,9 +128,14 @@ def operational_report(
     select_reverts = int(
         registry.total("validation_reverts_total", regression="select")
     )
-    improved_queries, improved_dbs, observed_dbs = _query_improvements(
-        plane, window_hours
-    )
+    improved_queries = improved_dbs = observed_dbs = 0
+    for name in sorted(service.database_names):
+        queries, improved, observed = service.on_database(
+            name, _query_improvements, window_hours
+        )
+        improved_queries += queries
+        improved_dbs += improved
+        observed_dbs += observed
     return OperationalReport(
         create_recommendations=creates,
         drop_recommendations=drops,

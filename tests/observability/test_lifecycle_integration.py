@@ -8,8 +8,18 @@ never disagree" invariant the observability subsystem exists for.
 
 from __future__ import annotations
 
-from repro.controlplane import RecommendationState
+from repro.clock import HOURS
+from repro.controlplane import (
+    AutoIndexingConfig,
+    AutoMode,
+    ControlPlaneSettings,
+    RecommendationState,
+)
+from repro.engine.cost_model import CostModelSettings
+from repro.engine.engine import EngineSettings
+from repro.parallel import build_fleet_service
 from repro.reporting import operational_report
+from repro.service import ServiceSettings
 from tests.controlplane.test_control_plane import advance, build_loop
 
 TERMINAL = (
@@ -115,11 +125,28 @@ class TestSpanTree:
 
 class TestReportEqualsRegistry:
     def test_operational_report_is_a_registry_view(self):
-        _clock, _profile, plane = run_loop()
-        registry = plane.telemetry.registry
-        report = operational_report(plane)
-        records = plane.store.all_records()
-        by_state = plane.store.count_by_state()
+        # The report is built from the region service's merged registry;
+        # the merged store is the ground truth it must agree with.
+        with build_fleet_service(
+            1,
+            seed=21,
+            engine_settings=EngineSettings(
+                cost_model=CostModelSettings(error_sigma=0.85)
+            ),
+            control_settings=ControlPlaneSettings(
+                snapshot_period=2 * HOURS,
+                analysis_period=8 * HOURS,
+                validation_window=6 * HOURS,
+            ),
+            service_settings=ServiceSettings(max_statements_per_step=90),
+            default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+        ) as service:
+            service.run(72.0)
+            report = operational_report(service)
+        registry = service.telemetry.registry
+        records = service.store.all_records()
+        by_state = service.store.count_by_state()
+        assert records, "no recommendations generated"
 
         # Report vs registry (the report is now *built from* the registry).
         assert report.create_recommendations + report.drop_recommendations \

@@ -19,17 +19,52 @@ TELEMETRY_GOLDEN_ARGS = [
 ]
 
 
-def normalized_telemetry_payload(capsys, monkeypatch) -> dict:
-    """Run ``repro telemetry --format json`` and strip the one
-    host-dependent field (hot-path wall time) from the payload."""
+#: Metrics whose values are host-clock readings the sharded runtime
+#: publishes (shard busy time, tick skew and wall time, phase timings,
+#: attribution coverage).  Their series and counts are deterministic;
+#: their values are not.
+WALL_METRICS = frozenset(
+    {
+        "fleet_shard_busy",
+        "fleet_tick_skew_seconds",
+        "fleet_tick_wall_seconds",
+        "fleet_phase_seconds",
+        "fleet_tick_attribution_ratio",
+    }
+)
+WALL_VALUE_FIELDS = ("value", "sum", "bucket_counts", "overflow", "p50",
+                     "p95", "p99")
+
+
+def telemetry_payload(capsys, monkeypatch) -> dict:
+    """Run ``repro telemetry --format json`` and parse its payload."""
     # Pin the executor: the vectorized path profiles different hot-path
     # names, and the golden pins the interpreter's.
     monkeypatch.setenv("REPRO_EXECUTOR", "interp")
     assert main(TELEMETRY_GOLDEN_ARGS) == 0
     out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
+    return json.loads(out[out.index("{"):])
+
+
+def normalize_telemetry(payload: dict) -> dict:
+    """Strip the host-clock values, and nothing else: hot-path wall
+    time, the values of :data:`WALL_METRICS`, and the values of history
+    series flagged ``wall`` (their tick spans and counts stay)."""
     for row in payload.get("hot_paths", []):
         row.pop("real_ms", None)
+    for metric in payload["metrics"]:
+        if metric["name"] in WALL_METRICS:
+            for field in WALL_VALUE_FIELDS:
+                metric.pop(field, None)
+    for series in payload["history"]["series"]:
+        if series["wall"]:
+            series.pop("latest")
+            for tier in series["tiers"]:
+                tier["buckets"] = [
+                    [start, end, count]
+                    for start, end, _min, _max, _sum, count, _last
+                    in tier["buckets"]
+                ]
     return payload
 
 
@@ -85,13 +120,21 @@ class TestParser:
             ["profile", "--batch-ticks", "-1"],
             ["slo", "--workers", "two"],
             ["ops", "--days", "-1"],
+            ["run", "--max-statements", "-5"],
+            ["profile", "--max-statements", "0"],
+            ["profile", "--top", "-1"],
+            ["telemetry", "--top", "-3"],
+            ["explain", "db-standard-0", "x"],
+            ["explain", "db-standard-0", "0"],
         ],
     )
     def test_bad_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
-        assert f"argument {argv[1]}" in capsys.readouterr().err
+        # The offending option, or explain's positional rec_id.
+        argument = next((t for t in argv if t.startswith("--")), "rec_id")
+        assert f"argument {argument}" in capsys.readouterr().err
 
     def test_count_bounds_are_inclusive(self):
         args = build_parser().parse_args(
@@ -101,6 +144,12 @@ class TestParser:
         assert (args.workers, args.batch_ticks, args.dbs, args.days) == (
             0, 1, 1, 1
         )
+
+    def test_explain_rec_id_is_int_or_latest(self):
+        parse = build_parser().parse_args
+        assert parse(["explain", "db-standard-0", "7"]).rec_id == 7
+        assert parse(["explain", "db-standard-0", "latest"]).rec_id == "latest"
+        assert parse(["explain", "db-standard-0"]).rec_id is None
 
 
 class TestCommands:
@@ -131,6 +180,20 @@ class TestCommands:
         assert payload["metrics"]
         assert "spans" in payload and "hot_paths" in payload
 
+    def test_explain_live_run(self, capsys):
+        # The live path runs the closed loop, then reconstructs one
+        # decision from the merged audit stream, spans and journal.
+        assert main(
+            ["explain", "--dbs", "1", "--days", "1", "--seed", "3",
+             "db-standard-0", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "running the closed loop" in out
+        assert "decision provenance: db-standard-0 / recommendation 1" in out
+        assert "[journal] -> implementing" in out
+        assert "[span] implement" in out
+        assert "validation_completed" in out
+
     @pytest.mark.slow
     def test_fig6_runs(self, capsys):
         assert main(["fig6", "--dbs", "1", "--seed", "3"]) == 0
@@ -143,29 +206,37 @@ class TestTelemetryGolden:
     """``repro telemetry --format json`` is byte-stable under a pinned
     seed: same simulator, same history, same payload.
 
-    The golden pins everything except hot-path wall time (host clock).
-    When a simulator change legitimately shifts the payload, regenerate
-    with ``PYTHONPATH=src python tests/test_cli.py`` and review the
-    diff like any other golden update.
+    The golden pins everything except host-clock values (see
+    :func:`normalize_telemetry`).  When a simulator change legitimately
+    shifts the payload, regenerate with ``PYTHONPATH=src python
+    tests/test_cli.py`` and review the diff like any other golden update.
     """
 
     GOLDEN = GOLDEN_DIR / "telemetry_golden.json"
 
     def test_matches_golden_snapshot(self, capsys, monkeypatch):
-        payload = normalized_telemetry_payload(capsys, monkeypatch)
+        payload = normalize_telemetry(telemetry_payload(capsys, monkeypatch))
         golden = json.loads(self.GOLDEN.read_text())
         assert payload["schema"] == golden["schema"]
         assert payload == golden
 
     def test_history_section_is_wall_free(self, capsys, monkeypatch):
-        # The serial control plane never samples wall time, so the
-        # history section carries no host-dependent series at all —
-        # that is what makes the snapshot reproducible anywhere.
-        payload = normalized_telemetry_payload(capsys, monkeypatch)
-        history = payload["history"]
-        assert history["schema"] == "repro-history-v1"
-        assert history["last_tick"] >= 0
-        assert all(not series["wall"] for series in history["series"])
+        # Wall values appear only in series SAMPLE_CATALOG flags
+        # wall=True: two runs of one seed agree on every other series,
+        # and each exported flag is the catalog's.
+        from repro.observability.timeseries import SAMPLE_CATALOG
+
+        first = telemetry_payload(capsys, monkeypatch)["history"]
+        second = telemetry_payload(capsys, monkeypatch)["history"]
+        assert first["schema"] == "repro-history-v1"
+        assert first["last_tick"] >= 0
+        assert [s["name"] for s in first["series"]] == [
+            s["name"] for s in second["series"]
+        ]
+        for series, again in zip(first["series"], second["series"]):
+            assert series["wall"] == SAMPLE_CATALOG[series["name"]].wall
+            if not series["wall"]:
+                assert series == again
 
 
 class TestSloCommand:
@@ -234,9 +305,7 @@ def _regenerate_golden() -> None:  # pragma: no cover - manual tool
     with redirect_stdout(buffer):
         assert main(TELEMETRY_GOLDEN_ARGS) == 0
     out = buffer.getvalue()
-    payload = json.loads(out[out.index("{"):])
-    for row in payload.get("hot_paths", []):
-        row.pop("real_ms", None)
+    payload = normalize_telemetry(json.loads(out[out.index("{"):]))
     GOLDEN_DIR.mkdir(exist_ok=True)
     target = GOLDEN_DIR / "telemetry_golden.json"
     target.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -7,13 +7,14 @@ import pytest
 from repro.clock import HOURS
 from repro.controlplane import AutoIndexingConfig, AutoMode, ControlPlaneSettings
 from repro.fleet import Fleet, FleetSpec
+from repro.parallel import build_fleet_service
 from repro.reporting import operational_report
-from repro.service import AutoIndexingService, ServiceSettings, build_service
+from repro.service import ServiceSettings
 
 
 @pytest.fixture(scope="module")
 def small_service():
-    service = build_service(
+    service = build_fleet_service(
         n_databases=3,
         tier="standard",
         seed=17,
@@ -26,7 +27,8 @@ def small_service():
         default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
     )
     service.run(hours=48)
-    return service
+    yield service
+    service.close()
 
 
 class TestFleet:
@@ -56,14 +58,14 @@ class TestFleet:
 
 class TestService:
     def test_every_database_gets_recommendations(self, small_service):
-        plane = small_service.plane
-        databases_with_recs = {r.database for r in plane.store.all_records()}
+        store = small_service.store
+        databases_with_recs = {r.database for r in store.all_records()}
         assert databases_with_recs  # recommendations were generated
 
     def test_closed_loop_reaches_terminal_states(self, small_service):
         from repro.controlplane import RecommendationState
 
-        records = small_service.plane.store.all_records()
+        records = small_service.store.all_records()
         assert records
         terminal = [
             r for r in records
@@ -72,16 +74,16 @@ class TestService:
         assert terminal
 
     def test_config_change_disables_automation(self):
-        service = build_service(n_databases=1, tier="standard", seed=31)
-        name = service.fleet.names()[0]
-        service.set_config(
-            name, AutoIndexingConfig(create_mode=AutoMode.OFF)
-        )
-        service.run(hours=24)
+        with build_fleet_service(n_databases=1, tier="standard", seed=31) as service:
+            name = service.database_names[0]
+            service.set_config(
+                name, AutoIndexingConfig(create_mode=AutoMode.OFF)
+            )
+            service.run(hours=24)
         from repro.controlplane import RecommendationState
 
         implemented = [
-            r for r in service.plane.store.all_records()
+            r for r in service.store.all_records()
             if r.state not in (RecommendationState.ACTIVE, RecommendationState.EXPIRED)
         ]
         assert not implemented
@@ -89,17 +91,17 @@ class TestService:
 
 class TestReporting:
     def test_operational_report_counts(self, small_service):
-        report = operational_report(small_service.plane, window_hours=12)
+        report = operational_report(small_service, window_hours=12)
         assert report.create_recommendations >= report.implemented >= 0
         decided = report.validated_success + report.reverted
         if decided:
             assert report.revert_rate == pytest.approx(
                 report.reverted / decided
             )
-        assert report.databases_observed <= len(small_service.fleet)
+        assert report.databases_observed <= len(small_service.database_names)
 
     def test_report_lines_render(self, small_service):
-        report = operational_report(small_service.plane)
+        report = operational_report(small_service)
         lines = report.lines()
         assert any("reverted" in line for line in lines)
         assert any("create recommendations" in line for line in lines)
